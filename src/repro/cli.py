@@ -263,8 +263,7 @@ def cmd_perf_bench(args: argparse.Namespace) -> int:
         path = benchkit.save_report(args.output, report.to_json(), envelope)
         print(f"(JSON report written to {path})")
     # Exit code gates deterministic invariants only (never wall-clock
-    # speed): tensor/fastpath equivalence, quantized accuracy deltas,
-    # and exact frame-ledger reconciliation under saturation.
+    # speed): tensor/fastpath equivalence and quantized accuracy deltas.
     if not report.equivalent:
         print(f"perf-bench: fastpath DIVERGED from the tensor path "
               f"(max |dp| = {report.max_divergence:.3g} > "
@@ -274,10 +273,6 @@ def cmd_perf_bench(args: argparse.Namespace) -> int:
         failed = [row.mode for row in report.quantized if not row.ok]
         print(f"perf-bench: quantized plan(s) {failed} exceeded the "
               f"accuracy-delta gate vs float32", file=sys.stderr)
-        return 1
-    if not report.saturated_ok:
-        print("perf-bench: saturated arm failed frame-ledger "
-              "reconciliation (or leaked arena slots)", file=sys.stderr)
         return 1
     return 0
 

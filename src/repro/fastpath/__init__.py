@@ -16,7 +16,6 @@ path, emitting ``BENCH_serve.json`` for CI.
 from .bench import (
     PerfBenchReport,
     QuantizedPlanReport,
-    SaturatedLoad,
     run_perf_bench,
 )
 from .plan import (
@@ -31,7 +30,6 @@ __all__ = [
     "PLAN_ACTIVATIONS",
     "QUANTIZE_MODES",
     "QuantizedPlanReport",
-    "SaturatedLoad",
     "InferencePlan",
     "PlanStep",
     "PerfBenchReport",

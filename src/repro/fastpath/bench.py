@@ -44,8 +44,8 @@ from ..nn.tensor import Tensor, no_grad
 from .plan import InferencePlan
 
 #: Batch sizes the throughput sweep runs by default.  The large tail
-#: sizes are the saturated-serving regime — the >1M fr/s headline lives
-#: at 256-512, where BLAS amortises the per-call dispatch completely.
+#: sizes show where BLAS amortises the per-call dispatch; like every
+#: number here they are measured in isolation, not through the engine.
 DEFAULT_BATCH_SIZES = (1, 8, 64, 256, 512)
 
 #: Elementwise probability divergence the harness tolerates.
@@ -63,10 +63,6 @@ QUANT_FLIP_GATE = 0.01
 
 #: The paper's deployment footprint target for the stored plan artifact.
 PLAN_BYTES_TARGET = 15 * 1024
-
-#: Offered-load multiples of measured capacity the saturated arm replays
-#: (below, at, and past saturation).
-DEFAULT_SATURATED_LOADS = (0.7, 1.0, 1.4)
 
 
 @dataclass(frozen=True)
@@ -98,28 +94,6 @@ class QuantizedPlanReport:
             and self.max_divergence <= self.delta_gate
             and self.label_flip_rate <= self.flip_gate
         )
-
-
-@dataclass(frozen=True)
-class SaturatedLoad:
-    """One open-loop offered load replayed through the serving engine."""
-
-    offered_ratio: float
-    offered_fps: float
-    n_offered: int
-    answered: int
-    dropped: dict[str, int]
-    sojourn_p50_ms: float
-    sojourn_p99_ms: float
-    wall_fps: float
-    batch_resizes: int
-    ledger_unaccounted: int
-    arena_in_use_after: int
-
-    @property
-    def ok(self) -> bool:
-        """Exact frame accounting and a fully recycled arena."""
-        return self.ledger_unaccounted == 0 and self.arena_in_use_after == 0
 
 
 @dataclass(frozen=True)
@@ -155,8 +129,6 @@ class PerfBenchReport:
     guard_batch_fps: float = 0.0
     float32_parameter_bytes: int = 0
     quantized: list[QuantizedPlanReport] = field(default_factory=list)
-    saturated_capacity_fps: float = 0.0
-    saturated: list[SaturatedLoad] = field(default_factory=list)
 
     @property
     def single_frame_speedup(self) -> float:
@@ -188,16 +160,10 @@ class PerfBenchReport:
         return all(row.ok for row in self.quantized)
 
     @property
-    def saturated_ok(self) -> bool:
-        """Every offered load reconciled its frame ledger exactly."""
-        return all(row.ok for row in self.saturated)
-
-    @property
     def gates_passed(self) -> bool:
-        """The full CI verdict: equivalence, quantization accuracy, and
-        ledger reconciliation — deterministic invariants only, never
-        wall-clock speed."""
-        return self.equivalent and self.quantized_ok and self.saturated_ok
+        """The full CI verdict: equivalence and quantization accuracy —
+        deterministic invariants only, never wall-clock speed."""
+        return self.equivalent and self.quantized_ok
 
     def describe(self) -> str:
         arch = "-".join(str(w) for w in (self.n_inputs, *self.hidden_sizes, 1))
@@ -231,20 +197,6 @@ class PerfBenchReport:
                 f"{row.parameter_bytes:,} B stored ({row.compression:.2f}x vs "
                 f"float32 {row.float32_parameter_bytes:,} B) — "
                 f"{'OK' if row.ok else 'FAILED'}"
-            )
-        if self.saturated:
-            lines.append(
-                f"saturated serving    : capacity {self.saturated_capacity_fps:,.0f} fr/s "
-                f"(plan, batch {self.throughput[-1].batch if self.throughput else '?'})"
-            )
-        for row in self.saturated:
-            drops = sum(row.dropped.values())
-            lines.append(
-                f"  load {row.offered_ratio:>4.2f}x          : "
-                f"sojourn p50 {row.sojourn_p50_ms:8.3f} ms   "
-                f"p99 {row.sojourn_p99_ms:8.3f} ms   "
-                f"answered {row.answered:>7,}   dropped {drops:>6,}   "
-                f"ledger {'OK' if row.ok else 'UNBALANCED'}"
             )
         return "\n".join(lines)
 
@@ -306,29 +258,6 @@ class PerfBenchReport:
                         "ok": row.ok,
                     }
                     for row in self.quantized
-                ],
-            },
-            "saturated": {
-                "ok": self.saturated_ok,
-                "capacity_fps": self.saturated_capacity_fps,
-                "loads": [
-                    {
-                        "offered_ratio": row.offered_ratio,
-                        "offered_fps": row.offered_fps,
-                        "n_offered": row.n_offered,
-                        "answered": row.answered,
-                        "dropped": dict(row.dropped),
-                        "sojourn_ms": {
-                            "p50": row.sojourn_p50_ms,
-                            "p99": row.sojourn_p99_ms,
-                        },
-                        "wall_fps": row.wall_fps,
-                        "batch_resizes": row.batch_resizes,
-                        "ledger_unaccounted": row.ledger_unaccounted,
-                        "arena_in_use_after": row.arena_in_use_after,
-                        "ok": row.ok,
-                    }
-                    for row in self.saturated
                 ],
             },
             "gates_passed": self.gates_passed,
@@ -451,114 +380,6 @@ def _quantized_arm(
     return out
 
 
-def _saturated_arm(
-    plan: InferencePlan,
-    n_inputs: int,
-    capacity_fps: float,
-    loads: tuple[float, ...],
-    n_frames: int,
-    seed: int,
-) -> list[SaturatedLoad]:
-    """Open-loop saturation sweep through the full serving engine.
-
-    Each load replays ``n_frames`` stream-time arrivals at
-    ``ratio * capacity_fps`` into an adaptive, arena-backed engine with
-    ``auto_flush=False``, and services the queue with stream-time pump
-    budgets of exactly ``capacity_fps`` — so queueing dynamics (and
-    therefore sojourn latency and drop counts) are functions of the
-    offered ratio alone, independent of the benchmarking host's speed.
-    Past capacity the queue must shed (overflow / deadline), and the
-    frame ledger must still reconcile exactly — that reconciliation is
-    the gated invariant; the latency percentiles are the measurement.
-    """
-    # Deferred import: repro.serve pulls the guard/overload/obs stack,
-    # none of which the plan-only benches above need.
-    from ..serve.config import ServeConfig
-    from ..serve.engine import InferenceEngine
-
-    config = ServeConfig(
-        max_batch=64,
-        min_batch=4,
-        max_latency_ms=20.0,
-        queue_capacity=256,
-        arena_slots=512,
-        adaptive_batching=True,
-        deadline_ms=200.0,
-        auto_flush=False,
-    )
-    rng = np.random.default_rng(seed)
-    rows = rng.normal(loc=10.0, scale=3.0, size=(min(n_frames, 2048), n_inputs))
-    tick = 64  # arrivals between service pumps
-    out: list[SaturatedLoad] = []
-    for ratio in loads:
-        engine = InferenceEngine(plan, config)
-        offered_fps = capacity_fps * ratio
-        dt = 1.0 / offered_fps
-        per_tick = tick * dt * capacity_fps  # service credit per pump
-        credit = 0.0
-        sojourn: list[float] = []
-        answered = 0
-        start = time.perf_counter()
-        t = 0.0
-        for i in range(n_frames):
-            t = i * dt
-            engine.submit("sat", t, rows[i % len(rows)])
-            if (i + 1) % tick == 0:
-                credit += per_tick
-                budget = int(credit)
-                if budget:
-                    credit -= budget
-                    for result in engine.pump(max_frames=budget, now_s=t):
-                        sojourn.append(t - result.t_s)
-                        answered += 1
-        # Arrivals ended; keep serving at capacity until the backlog is
-        # gone (deadline expiry drains whatever service cannot reach).
-        while engine.queue.depth:
-            t += tick * dt
-            credit += per_tick
-            budget = int(credit)
-            credit -= budget
-            for result in engine.pump(max_frames=budget, now_s=t):
-                sojourn.append(t - result.t_s)
-                answered += 1
-        wall = time.perf_counter() - start
-        stats = engine.link_stats("sat")
-        dropped = {
-            "overflow": stats["overflow"],
-            "deadline_expired": stats["deadline_expired"],
-            "stale": stats["stale_dropped"],
-            "shed": stats["overload_shed"],
-            "policy_rejected": stats["policy_rejected"],
-        }
-        unaccounted = (
-            stats["frames_in"]
-            + stats["repaired"]
-            - stats["frames_out"]
-            - sum(dropped.values())
-            - engine.queue.depth
-        )
-        engine.arena.check()
-        sojourn_arr = np.asarray(sojourn) if sojourn else np.zeros(1)
-        out.append(
-            SaturatedLoad(
-                offered_ratio=float(ratio),
-                offered_fps=offered_fps,
-                n_offered=n_frames,
-                answered=answered,
-                dropped=dropped,
-                sojourn_p50_ms=1e3 * float(np.percentile(sojourn_arr, 50)),
-                sojourn_p99_ms=1e3 * float(np.percentile(sojourn_arr, 99)),
-                wall_fps=answered / wall if wall > 0 else float("inf"),
-                batch_resizes=int(
-                    engine.registry.counter("batch_resizes_total").value
-                ),
-                ledger_unaccounted=int(unaccounted),
-                arena_in_use_after=engine.arena.in_use,
-            )
-        )
-    return out
-
-
 def run_perf_bench(
     n_inputs: int = 64,
     hidden_sizes: tuple[int, ...] | None = None,
@@ -570,21 +391,20 @@ def run_perf_bench(
     n_probe: int = 256,
     tolerance: float = DEFAULT_TOLERANCE,
     guard_frames: int = 4096,
-    saturated_frames: int = 120_000,
-    saturated_loads: tuple[float, ...] = DEFAULT_SATURATED_LOADS,
     quick: bool = False,
 ) -> PerfBenchReport:
     """Freeze the paper MLP and benchmark fastpath vs tensor path.
 
-    Beyond the legacy arms (equivalence, single-frame latency,
-    throughput sweep, guard validation) the report carries two saturated-
-    serving arms: ``quantized`` — int8/float16 plan variants gated on
-    accuracy delta vs float32 — and ``saturated`` — an open-loop sweep of
-    the full engine at ``saturated_loads`` multiples of measured plan
-    capacity, gated on exact frame-ledger reconciliation.  All gates are
-    deterministic invariants; wall-clock numbers ride along unasserted.
+    Arms: equivalence, single-frame latency, the batched throughput
+    sweep, guard validation, and ``quantized`` — int8/float16 plan
+    variants gated on accuracy delta vs float32.  The gates
+    (equivalence, quantization) are deterministic invariants; wall-clock
+    numbers ride along unasserted.  Every arm times the plan or the guard
+    chain in isolation: end-to-end serving throughput and latency through
+    :class:`~repro.serve.engine.InferenceEngine` are measured by the
+    repository benchmark (``python3 -m bench``), not here.
 
-    ``quick`` shrinks repeats/probe/replay sizes for CI smoke runs — the
+    ``quick`` shrinks repeats/probe sizes for CI smoke runs — the
     gated assertions are identical, only the timing estimates get
     noisier.  The scaler is fitted on a synthetic amplitude distribution
     (the bench needs realistic numerics, not a trained model: weights at
@@ -596,14 +416,11 @@ def run_perf_bench(
         raise ConfigurationError("invalid bench parameters")
     if any(b < 1 for b in batch_sizes):
         raise ConfigurationError("batch sizes must be >= 1")
-    if saturated_frames < 0 or any(r <= 0 for r in saturated_loads):
-        raise ConfigurationError("invalid saturated-arm parameters")
     if quick:
         n_repeats = min(n_repeats, 60)
         warmup = min(warmup, 5)
         n_probe = min(n_probe, 64)
         guard_frames = min(guard_frames, 1024)
-        saturated_frames = min(saturated_frames, 8_000)
 
     hidden = tuple(hidden_sizes) if hidden_sizes is not None else PAPER_HIDDEN_SIZES
     model = build_paper_mlp(n_inputs, hidden, n_outputs=1, seed=seed)
@@ -642,17 +459,6 @@ def run_perf_bench(
         plan, probe, plan.predict_proba(probe).copy(), n_repeats, warmup
     )
 
-    # Capacity for the saturation sweep: the plan's best measured batched
-    # throughput (the service rate an engine tick can actually sustain).
-    capacity_fps = max((row.fastpath_fps for row in throughput), default=0.0)
-    saturated = (
-        _saturated_arm(
-            plan, n_inputs, capacity_fps, saturated_loads, saturated_frames, seed
-        )
-        if saturated_frames > 0
-        else []
-    )
-
     return PerfBenchReport(
         n_inputs=n_inputs,
         hidden_sizes=hidden,
@@ -670,6 +476,4 @@ def run_perf_bench(
         guard_batch_fps=guard_batch,
         float32_parameter_bytes=plan.parameter_bytes(),
         quantized=quantized,
-        saturated_capacity_fps=capacity_fps,
-        saturated=saturated,
     )

@@ -5,9 +5,9 @@ drawn from one simulated campaign) through two identically configured
 :class:`~repro.fleet.service.Fleet` instances — fusion on and fusion
 off — and reports:
 
-* aggregate throughput of each arm and the fused-vs-unfused speedup;
-* per-tenant p50/p99 tick latency (every tenant served in a tick is
-  charged that tick's wall time — the latency a room actually sees);
+* aggregate throughput of each arm and the fused-vs-unfused speedup
+  (per-tenant latency is measured by the repository benchmark's
+  ``fleet.service.tenant_p99_max_ms``, ``python3 -m bench``);
 * the **byte-identity gate**: every probability of the fused arm must
   equal the unfused arm's bit for bit.  This is the invariant CI gates
   on; throughput numbers are machine-dependent and informational;
@@ -36,7 +36,7 @@ served after their tenant detached.  Speed is never gated.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,8 +133,6 @@ class FleetBenchReport:
     max_abs_delta: float
     ledger_reconciled: bool
     counters_reconciled: bool
-    #: tenant → {"p50_ms": …, "p99_ms": …} from the fused arm's ticks.
-    tenant_latency_ms: dict[str, dict[str, float]] = field(default_factory=dict)
     #: The churn arm's audit (None when churn was disabled).
     churn: ChurnStats | None = None
 
@@ -144,8 +142,6 @@ class FleetBenchReport:
         return self.fused.fps / self.unfused.fps if self.unfused.fps > 0 else float("inf")
 
     def describe(self) -> str:
-        latency_p99s = [v["p99_ms"] for v in self.tenant_latency_ms.values()]
-        worst_p99 = max(latency_p99s) if latency_p99s else float("nan")
         lines = [
             f"tenants              : {self.n_tenants} "
             f"({self.n_cohorts} plan cohort(s), odd-one-out every "
@@ -162,7 +158,6 @@ class FleetBenchReport:
             f"{'OK' if self.byte_identical else 'FAILED'} over "
             f"{self.n_compared} probabilities "
             f"(max |Δp| = {self.max_abs_delta:.3g})",
-            f"worst tenant p99     : {worst_p99:10.3f} ms/tick",
             f"ledger reconciliation: "
             f"{'OK' if self.ledger_reconciled else 'FAILED'}",
             f"counter rollups      : "
@@ -189,7 +184,7 @@ class FleetBenchReport:
 
         ``byte_identical`` (with ``ledger_reconciled``/
         ``counters_reconciled``) are the CI-gated invariants; throughput
-        and latency fields are informational.
+        fields are informational.
         """
         return {
             "bench": "fleet-bench",
@@ -215,7 +210,6 @@ class FleetBenchReport:
                 "fusion_ratio": self.fused.fusion_ratio,
             },
             "wall_s": {"fused": self.fused.wall_s, "unfused": self.unfused.wall_s},
-            "tenant_latency_ms": self.tenant_latency_ms,
             "churn": None if self.churn is None else self.churn.to_json(),
         }
 
@@ -288,10 +282,9 @@ def _replay(
     traffic: dict[str, np.ndarray],
     frames_per_tick: int,
     rate_hz: float,
-) -> tuple[dict[str, list[float]], float, dict[str, list[float]]]:
-    """Run the traffic through one fleet; returns (probs, wall_s, latencies)."""
+) -> tuple[dict[str, list[float]], float]:
+    """Run the traffic through one fleet; returns (probs, wall_s)."""
     probabilities: dict[str, list[float]] = {t: [] for t in tenant_ids}
-    latencies: dict[str, list[float]] = {t: [] for t in tenant_ids}
     frames_per_tenant = len(next(iter(traffic.values())))
     n_ticks = -(-frames_per_tenant // frames_per_tick)
     dt = 1.0 / rate_hz
@@ -299,21 +292,14 @@ def _replay(
     for tick_i in range(n_ticks):
         lo = tick_i * frames_per_tick
         hi = min(lo + frames_per_tick, frames_per_tenant)
-        tick_start = time.perf_counter()
         for tenant_id in tenant_ids:
             rows = traffic[tenant_id]
             for j in range(lo, hi):
                 fleet.submit(tenant_id, j * dt, rows[j])
-        results = fleet.tick()
-        tick_ms = 1000.0 * (time.perf_counter() - tick_start)
-        served: set[str] = set()
-        for result in results:
+        for result in fleet.tick():
             probabilities[result.tenant_id].append(result.probability)
-            served.add(result.tenant_id)
-        for tenant_id in served:
-            latencies[tenant_id].append(tick_ms)
     wall_s = time.perf_counter() - start
-    return probabilities, wall_s, latencies
+    return probabilities, wall_s
 
 
 # ----------------------------------------------------------------- churn arm
@@ -644,11 +630,11 @@ def run_fleet_bench(
     warm.tick()
 
     unfused_fleet = build_fleet(False)
-    unfused_probs, unfused_wall, _ = _replay(
+    unfused_probs, unfused_wall = _replay(
         unfused_fleet, tenant_ids, traffic, frames_per_tick, rate_hz
     )
     fused_fleet = build_fleet(True)
-    fused_probs, fused_wall, fused_latencies = _replay(
+    fused_probs, fused_wall = _replay(
         fused_fleet, tenant_ids, traffic, frames_per_tick, rate_hz
     )
 
@@ -671,7 +657,7 @@ def run_fleet_bench(
 
     # ------------------------------------- observed (untimed) reconciliation
     observed_fleet = build_fleet(True, observer_factory=lambda: Observer())
-    observed_probs, _, _ = _replay(
+    observed_probs, _ = _replay(
         observed_fleet, tenant_ids, traffic, frames_per_tick, rate_hz
     )
     ledger_reconciled = True
@@ -706,14 +692,6 @@ def run_fleet_bench(
             fusion_ratio=float(ratio),
         )
 
-    tenant_latency_ms = {
-        tenant_id: {
-            "p50_ms": float(np.percentile(samples, 50.0)) if samples else float("nan"),
-            "p99_ms": float(np.percentile(samples, 99.0)) if samples else float("nan"),
-        }
-        for tenant_id, samples in fused_latencies.items()
-    }
-
     churn = None
     if churn_ticks:
         churn = run_churn_scenario(
@@ -736,6 +714,5 @@ def run_fleet_bench(
         max_abs_delta=max_abs_delta,
         ledger_reconciled=ledger_reconciled,
         counters_reconciled=counters_reconciled,
-        tenant_latency_ms=tenant_latency_ms,
         churn=churn,
     )

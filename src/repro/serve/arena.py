@@ -20,13 +20,17 @@ preallocated ring of contiguous float32 slabs:
   a neighbouring frame — the property suite in ``tests/serve`` asserts
   zero double-use over randomized burst/lull schedules.
 
-Exhaustion is never an error: when the arena has no free slot (or a frame
-arrives with an unexpected width), the engine falls back to the legacy
-owned-array path for that frame and counts it — correctness is
-unconditional, the arena is purely a fast path.  Occupancy and recycle
-totals are exposed through the engine's metrics registry
-(``arena_in_use`` / ``arena_acquired_total`` / ``arena_released_total`` /
-``arena_fallback_total``), so saturation shows up on the same dashboard
+The engine has one admission path per arena: a frame is either copied
+into a slot or refused at the shape gate (not 1-D, a width other than the
+arena's, a dtype kind outside ``fiub``, or non-finite) with the typed
+``rejected`` outcome.  Gap fills keep the row the repairer built, so the
+only slot holders are the queued frames plus the one being admitted, and
+:class:`~repro.serve.config.ServeConfig` requires ``arena_slots >
+queue_capacity``; running out of slots inside the engine is therefore a
+broken invariant and raises :class:`~repro.exceptions.ServingError`.
+Occupancy and recycle totals are exposed through the engine's metrics
+registry (``arena_in_use`` / ``arena_acquired_total`` /
+``arena_released_total``), so saturation shows up on the same dashboard
 as queue depth.
 """
 
@@ -60,9 +64,8 @@ class FrameArena:
     ----------
     n_slots:
         Number of row slots.  Size it to cover the worst simultaneous
-        in-flight population (queue capacity plus one in-service batch);
-        the engine falls back to owned arrays when the ring is full, so
-        undersizing degrades to the legacy path rather than failing.
+        in-flight population; for the engine that is ``queue_capacity +
+        1``, which ``ServeConfig`` enforces.
     width:
         Row width (CSI feature count) every slot holds.
     """
@@ -97,7 +100,8 @@ class FrameArena:
     # ------------------------------------------------------------- lifecycle
 
     def acquire(self, row: np.ndarray) -> SlotRef | None:
-        """Copy ``row`` into a free slot; ``None`` when the ring is full.
+        """Copy ``row`` into a free slot; ``None`` when the ring is full
+        or ``row`` is not a ``(width,)`` vector.
 
         This is the *single* copy a frame pays on the arena path.  The
         cast to float32 happens during the copy itself (no intermediate

@@ -8,17 +8,12 @@ same dozen knobs.  :class:`ServeConfig` consolidates them into a single
 frozen dataclass that both ``InferenceEngine`` and :class:`repro.fleet.Fleet`
 accept, so one object describes "how a stream is served" everywhere.
 
-Two conveniences beyond plain field storage:
-
-* ``guard`` may hold a :class:`~repro.guard.policy.GuardPolicy`; when the
-  explicit ``validator``/``repairer``/``supervisor`` fields are unset,
-  :meth:`ServeConfig.build_guards` manufactures **fresh** components from
-  the policy per call — exactly what the fleet needs to give every tenant
-  isolated guard state from one shared recipe.
-* the legacy keyword arguments on ``InferenceEngine.__init__`` had their
-  one deprecation release (PR 6) and now raise a typed
-  :class:`~repro.exceptions.ConfigError` naming the offending kwargs —
-  each maps to the ``ServeConfig`` field of the same name.
+One convenience goes beyond plain field storage: ``guard`` may hold a
+:class:`~repro.guard.policy.GuardPolicy`; when the explicit
+``validator``/``repairer``/``supervisor`` fields are unset,
+:meth:`ServeConfig.build_guards` manufactures **fresh** components from
+the policy per call — exactly what the fleet needs to give every tenant
+isolated guard state from one shared recipe.
 
 Shared *instances* (``registry``, ``observer``, a prebuilt ``supervisor``)
 are deliberately allowed — sharing a metrics registry across engines is a
@@ -47,11 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 class ServeConfig:
     """Everything an engine (or fleet tenant) needs besides the estimator.
 
-    Field semantics are identical to the historical
-    :class:`~repro.serve.engine.InferenceEngine` keyword arguments; see
-    that class for the full per-knob documentation.  Defaults reproduce
-    the engine's defaults exactly, so ``ServeConfig()`` is the legacy
-    no-argument engine.
+    :class:`~repro.serve.engine.InferenceEngine` documents each knob;
+    ``ServeConfig()`` is the engine's default configuration.
     """
 
     # --- micro-batching ---
@@ -70,10 +62,9 @@ class ServeConfig:
     #: change as a ``serve.batch_resize`` event.
     adaptive_batching: bool = False
     #: Slot count of the zero-copy :class:`~repro.serve.arena.FrameArena`
-    #: backing in-flight frames; ``None`` keeps the legacy owned-array
-    #: path.  Size it to ``queue_capacity + max_batch`` to cover the
-    #: worst in-flight population — exhaustion falls back per frame (and
-    #: is counted), never fails.
+    #: backing in-flight frames; ``None`` keeps owned float64 rows.  Must
+    #: exceed ``queue_capacity``: the queue plus the frame being admitted
+    #: are the only slot holders, so a slot is always free.
     arena_slots: int | None = None
     # --- smoothing / staleness ---
     window: int = 5
@@ -135,9 +126,10 @@ class ServeConfig:
                 f"max_batch ({self.max_batch}) must be <= queue_capacity "
                 f"({self.queue_capacity}); queue_capacity must be >= max_batch"
             )
-        if self.arena_slots is not None and self.arena_slots < 1:
+        if self.arena_slots is not None and self.arena_slots <= self.queue_capacity:
             raise ConfigurationError(
-                f"arena_slots must be >= 1 (or None), got {self.arena_slots}"
+                f"arena_slots ({self.arena_slots}) must be > queue_capacity "
+                f"({self.queue_capacity}), or None"
             )
         if self.max_latency_ms is not None and self.max_latency_ms <= 0:
             raise ConfigurationError("max_latency_ms must be positive (or None)")

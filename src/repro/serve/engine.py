@@ -83,7 +83,6 @@ import numpy as np
 from ..core.estimator import validate_estimator
 from ..data.streaming import SmoothingDebouncer, Transition, check_csi_row
 from ..exceptions import (
-    ConfigError,
     ConfigurationError,
     ServingError,
     ShapeError,
@@ -97,18 +96,12 @@ from ..overload.deadline import deadline_for, expired
 from ..overload.governor import SaturationGovernor, ServiceMode
 from ..overload.limiter import RateLimiter
 from .adaptive import AdaptiveBatcher
-from .arena import FrameArena
+from .arena import FrameArena, SlotRef
 from .config import ServeConfig
 from .metrics import MetricsRegistry
 from .queue import MicroBatchQueue, PendingFrame
 from .robustness import FallbackPredictor, LinkHealth, PriorFallback
 from .types import FrameTicket
-
-#: Sentinel distinguishing "caller passed nothing" from explicit ``None``
-#: for the removed per-knob keyword arguments (kept so a legacy call site
-#: fails with a typed migration error instead of a bare ``TypeError``).
-_UNSET = object()
-
 
 @dataclass(frozen=True)
 class InferenceResult:
@@ -169,17 +162,20 @@ class InferenceEngine:
         ``predict_proba`` is called.
     config:
         A :class:`~repro.serve.config.ServeConfig` bundling every knob
-        below.  This is the *only* way to configure an engine: the
-        pre-PR-6 per-knob keyword arguments were deprecated for one
-        release and now raise a typed
-        :class:`~repro.exceptions.ConfigError` whose message names the
-        offending kwargs and the ``ServeConfig`` field each one maps to
-        (same names, e.g. ``InferenceEngine(est, ServeConfig(max_batch=8))``).
+        below (``None`` means ``ServeConfig()``).  This is the *only* way
+        to configure an engine, e.g.
+        ``InferenceEngine(est, ServeConfig(max_batch=8))``.
     max_batch / max_latency_ms / queue_capacity:
         Micro-batching policy (see :class:`~repro.serve.queue.MicroBatchQueue`).
         Latency is measured in *stream* time (frame timestamps);
         ``max_latency_ms=None`` flushes on ``max_batch`` only
         (backlogged / offline-reprocessing mode).
+    arena_slots:
+        Stage every admitted frame in a float32
+        :class:`~repro.serve.arena.FrameArena` slot (``None`` keeps owned
+        float64 rows).  Must exceed ``queue_capacity``, so a slot is
+        always free: a frame the arena cannot stage is refused at the
+        shape gate, never served from a second path.
     window / hold_frames:
         Per-link smoothing/debounce, identical semantics to
         :class:`~repro.data.streaming.StreamingDetector`.
@@ -214,53 +210,7 @@ class InferenceEngine:
         reads, no allocations on the hot path).
     """
 
-    def __init__(
-        self,
-        estimator,
-        config: ServeConfig | None = None,
-        *,
-        max_batch=_UNSET,
-        max_latency_ms=_UNSET,
-        queue_capacity=_UNSET,
-        window=_UNSET,
-        hold_frames=_UNSET,
-        stale_after_s=_UNSET,
-        fallback=_UNSET,
-        registry=_UNSET,
-        validator=_UNSET,
-        repairer=_UNSET,
-        supervisor=_UNSET,
-        quarantine=_UNSET,
-        observer=_UNSET,
-    ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("max_batch", max_batch),
-                ("max_latency_ms", max_latency_ms),
-                ("queue_capacity", queue_capacity),
-                ("window", window),
-                ("hold_frames", hold_frames),
-                ("stale_after_s", stale_after_s),
-                ("fallback", fallback),
-                ("registry", registry),
-                ("validator", validator),
-                ("repairer", repairer),
-                ("supervisor", supervisor),
-                ("quarantine", quarantine),
-                ("observer", observer),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            names = ", ".join(sorted(legacy))
-            raise ConfigError(
-                "InferenceEngine no longer accepts per-knob keyword "
-                f"arguments (got: {names}); pass a ServeConfig instead — "
-                "each legacy kwarg maps to the ServeConfig field of the "
-                "same name, e.g. "
-                "InferenceEngine(estimator, ServeConfig(max_batch=8))"
-            )
+    def __init__(self, estimator, config: ServeConfig | None = None) -> None:
         if config is None:
             config = ServeConfig()
         validate_estimator(estimator, require=("predict_proba",))
@@ -474,14 +424,14 @@ class InferenceEngine:
             obs.frame_submitted(frame_id, link_id, t_f)
         slot = None
         if self._arena_slots is not None:
-            staged = self._stage_row(csi_row)
-            if staged is None:
+            slot = self._stage_row(csi_row)
+            if slot is None:
                 link.rejected += 1
                 self.registry.counter("frames_rejected").inc()
                 if tracing:
                     obs.frame_outcome("rejected", frame_id, link_id, t_f, gate="shape")
                 return frame_id, "rejected", []
-            csi_row, slot = staged
+            csi_row = self.arena.slab[slot.slot]
         else:
             try:
                 csi_row = check_csi_row(csi_row)
@@ -562,22 +512,17 @@ class InferenceEngine:
                 for fill in fills:
                     fill_id = self._frame_seq
                     self._frame_seq += 1
-                    fill_row, fill_slot = fill.row, None
-                    if self.arena is not None:
-                        fill_slot = self.arena.acquire(fill.row)
-                        if fill_slot is not None:
-                            fill_row = self.arena.slab[fill_slot.slot]
-                        else:
-                            self.registry.counter("arena_fallback_total").inc()
+                    # A fill keeps the row the repairer built: it holds no
+                    # arena slot, which is what bounds live slots at
+                    # queue_capacity + 1.
                     filled.append(
                         PendingFrame(
                             link_id,
                             fill.t_s,
-                            fill_row,
+                            fill.row,
                             repaired=True,
                             frame_id=fill_id,
                             deadline_s=deadline_for(fill.t_s, self.deadline_s),
-                            slot=fill_slot,
                         )
                     )
                     if tracing:
@@ -588,7 +533,7 @@ class InferenceEngine:
                 t0 = time.perf_counter()
             evicted = self.queue.push(frame)
             if evicted is not None:
-                self._release_frame(evicted)
+                self._release_ref(evicted.slot)
                 self._link(evicted.link_id).overflow += 1
                 self.registry.counter("frames_dropped_overflow").inc()
                 if tracing:
@@ -613,54 +558,42 @@ class InferenceEngine:
 
     # ----------------------------------------------------- arena / adaptive
 
-    def _stage_row(self, csi_row) -> tuple[np.ndarray, object | None] | None:
+    def _stage_row(self, csi_row) -> SlotRef | None:
         """Arena admission: one copy into a slab slot, gated on the view.
 
-        Returns ``(row, slot_ref)`` — ``slot_ref`` is ``None`` when the
-        frame fell back to the legacy owned-array path (ring exhausted,
-        unexpected width, exotic dtype) — or ``None`` for a malformed
-        frame the shape/finite gate refuses.  Note the float32 slab means
-        values beyond float32 range overflow to ``inf`` and are refused
-        at the finite gate; CSI amplitudes live many orders of magnitude
-        below that.
+        Returns the slot reference, or ``None`` for a frame the shape gate
+        refuses: not 1-D, empty or a width other than the arena's, a dtype
+        kind outside ``fiub``, or a non-finite value.  The float32 slab
+        means values beyond float32 range overflow to ``inf`` and are
+        refused at the finite gate; CSI amplitudes live many orders of
+        magnitude below that.
         """
         arr = np.asarray(csi_row)
-        if arr.ndim != 1:
+        if arr.ndim != 1 or not arr.size or arr.dtype.kind not in "fiub":
             return None
-        if arr.dtype.kind not in "fiub":
-            # Exotic dtypes keep the legacy gate's cast-or-reject
-            # semantics; the arena only stages plain numeric rows.
-            return self._stage_fallback(arr)
         arena = self.arena
         if arena is None:
             arena = self.arena = FrameArena(self._arena_slots, arr.shape[0])
             self.registry.gauge("arena_slots").set(arena.n_slots)
-        ref = arena.acquire(arr) if arr.shape[0] == arena.width else None
+        elif arr.shape[0] != arena.width:
+            return None
+        ref = arena.acquire(arr)
         if ref is None:
-            return self._stage_fallback(arr)
-        view = arena.slab[ref.slot]
-        if not np.isfinite(view).all():
+            # ServeConfig keeps arena_slots > queue_capacity, and only the
+            # queue plus the frame being admitted hold slots.
+            raise ServingError(
+                f"frame arena exhausted ({arena.in_use} of {arena.n_slots} "
+                f"slots live, queue depth {self.queue.depth}): a slot leaked"
+            )
+        if not np.isfinite(arena.slab[ref.slot]).all():
             arena.release(ref)
             return None
-        return view, ref
+        return ref
 
-    def _stage_fallback(self, arr) -> tuple[np.ndarray, None] | None:
-        """The owned-array path for frames the arena cannot stage."""
-        try:
-            row = check_csi_row(arr)
-        except (ShapeError, StreamError):
-            return None
-        self.registry.counter("arena_fallback_total").inc()
-        return row, None
-
-    def _release_ref(self, ref) -> None:
+    def _release_ref(self, ref: SlotRef | None) -> None:
+        """Recycle a frame's slab slot the moment its outcome is terminal."""
         if ref is not None:
             self.arena.release(ref)
-
-    def _release_frame(self, frame: PendingFrame) -> None:
-        """Recycle a frame's slab slot the moment its outcome is terminal."""
-        if frame.slot is not None:
-            self.arena.release(frame.slot)
 
     def _sync_arena_metrics(self) -> None:
         arena = self.arena
@@ -787,7 +720,6 @@ class InferenceEngine:
         alive: list[PendingFrame] = []
         for frame in frames:
             if expired(frame.deadline_s, self._now_s):
-                self._release_frame(frame)
                 link = self._link(frame.link_id)
                 link.deadline_expired += 1
                 self.registry.counter("frames_deadline_expired").inc()
@@ -814,7 +746,6 @@ class InferenceEngine:
         self.registry.counter("frames_shed_overload").inc(len(frames))
         obs = self.observer
         for frame in frames:
-            self._release_frame(frame)
             self._link(frame.link_id).overload_shed += 1
             if obs.enabled:
                 obs.frame_outcome(
@@ -829,7 +760,6 @@ class InferenceEngine:
         fresh: list[PendingFrame] = []
         for frame in frames:
             if self._now_s - frame.t_s > self.stale_after_s:
-                self._release_frame(frame)
                 link = self._link(frame.link_id)
                 link.stale_dropped += 1
                 link.health = LinkHealth.DEGRADED
@@ -926,6 +856,25 @@ class InferenceEngine:
         return x
 
     def _run_batch(self, frames: list[PendingFrame]) -> list[InferenceResult]:
+        """Serve one drained batch, then recycle every slab slot it held.
+
+        Every drained frame is terminal once :meth:`_serve_batch` returns
+        (answered, expired, stale, shed or policy-rejected); answered rows
+        live on in the batch ring copy, so consumers must not retain
+        ``frame.csi`` past this point — the aliasing contract the
+        two-slot batch ring already imposes.  When the batch raises, its
+        frames are lost to the caller, so their slots recycle too rather
+        than leak.
+        """
+        try:
+            return self._serve_batch(frames)
+        finally:
+            if self.arena is not None:
+                for frame in frames:
+                    self._release_ref(frame.slot)
+                self._sync_arena_metrics()
+
+    def _serve_batch(self, frames: list[PendingFrame]) -> list[InferenceResult]:
         mode = ServiceMode.FULL
         if self.governor is not None and frames:
             # Depth at drain time (queue remainder plus this batch) and
@@ -1042,14 +991,6 @@ class InferenceEngine:
             self._rollout.on_batch(
                 frames, x[: len(frames)], probabilities, self._now_s, source=source
             )
-        if self.arena is not None:
-            # Answered is terminal: the rows live on in the batch ring
-            # copy (x), so the slab slots recycle immediately.  Consumers
-            # must not retain frame.csi past this point — the same
-            # aliasing contract the two-slot batch ring already imposes.
-            for frame in frames:
-                self._release_frame(frame)
-            self._sync_arena_metrics()
         return results
 
     def _reject_batch(self, frames: list[PendingFrame]) -> list[InferenceResult]:
@@ -1059,7 +1000,6 @@ class InferenceEngine:
         if obs.enabled:
             obs.emit("batch.rejected", t_s=self._now_s, n=len(frames))
         for frame in frames:
-            self._release_frame(frame)
             link = self._link(frame.link_id)
             link.policy_rejected += 1
             link.health = LinkHealth.DEGRADED

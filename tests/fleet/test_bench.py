@@ -36,11 +36,6 @@ class TestRunFleetBench:
         assert 0.0 < report.fused.fusion_ratio < 1.0
         assert report.unfused.fusion_ratio == 0.0
 
-    def test_latency_percentiles_per_tenant(self, report):
-        assert len(report.tenant_latency_ms) == 6
-        for stats in report.tenant_latency_ms.values():
-            assert 0.0 <= stats["p50_ms"] <= stats["p99_ms"]
-
     def test_describe_mentions_gates(self, report):
         text = report.describe()
         assert "byte identity        : OK" in text
@@ -55,7 +50,6 @@ class TestRunFleetBench:
         assert payload["fleet"]["n_tenants"] == 6
         assert payload["throughput_fps"]["fused"] > 0
         assert payload["throughput_fps"]["unfused"] > 0
-        assert set(payload["tenant_latency_ms"]) == set(report.tenant_latency_ms)
 
     def test_quick_shrinks_but_keeps_gates(self):
         quick = run_fleet_bench(quick=True, seed=3)

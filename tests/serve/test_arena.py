@@ -10,6 +10,9 @@ The load-bearing guarantees under test:
   schedules with rejects, repairs, overflow, staleness and deadlines, the
   engine's per-link tallies balance to zero unaccounted frames and the
   arena drains back to zero occupancy;
+* **one admission path** — with ``arena_slots > queue_capacity`` a slot is
+  always free, a frame the arena cannot stage is ``rejected``, and a
+  batch that raises still recycles every slot it held;
 * **numeric equivalence** — the arena path (float32 slab views) matches
   the legacy owned-float64 path per frame to float32 precision, with
   identical outcome accounting.
@@ -21,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, ServingError
+from repro.guard.repair import GapRepairer
 from repro.serve import FrameArena, InferenceEngine, ServeConfig, SlotRef
 from repro.serve.arena import FrameArena as ArenaDirect
 
@@ -30,6 +34,32 @@ class RowMean:
 
     def predict_proba(self, x):
         return np.asarray(x, dtype=float).mean(axis=1)
+
+
+class Broken:
+    """A predictor tier that always raises."""
+
+    def predict_proba(self, x):
+        raise RuntimeError("tier down")
+
+
+class ShortAnswer:
+    """A predictor that answers one probability too few."""
+
+    def predict_proba(self, x):
+        return np.zeros(len(x) - 1)
+
+
+def _reconciles(stats):
+    """Every admitted or synthesised frame reached one terminal outcome."""
+    dropped = (
+        stats["stale_dropped"]
+        + stats["deadline_expired"]
+        + stats["overflow"]
+        + stats["overload_shed"]
+        + stats["policy_rejected"]
+    )
+    return stats["frames_in"] + stats["repaired"] == stats["frames_out"] + dropped
 
 
 class TestFrameArenaUnit:
@@ -125,7 +155,8 @@ class TestEngineArenaIntegration:
 
     def test_pending_frames_hold_slab_views(self):
         engine = InferenceEngine(RowMean(), self._config(max_batch=64,
-                                                         queue_capacity=64))
+                                                         queue_capacity=64,
+                                                         arena_slots=80))
         engine.submit("a", 0.0, np.arange(4, dtype=float))
         frame = engine.queue._pending[0]
         assert frame.slot is not None
@@ -171,34 +202,86 @@ class TestEngineArenaIntegration:
         engine.arena.check()
         assert engine.arena.in_use == 0
 
-    def test_exhaustion_falls_back_and_serves_every_frame(self):
-        # 4 slots against a queue of 32: most frames take the legacy path.
+    def test_minimum_arena_survives_a_flooded_queue(self):
+        # queue_capacity + 1 slots: the full queue plus the frame being
+        # admitted, with every push past capacity evicting the oldest.
         engine = InferenceEngine(
             RowMean(),
-            self._config(arena_slots=4, max_batch=16, max_latency_ms=None),
+            self._config(queue_capacity=16, arena_slots=17, auto_flush=False),
         )
-        n = 40
-        for i in range(n):
+        for i in range(100):
             engine.submit("a", i * 0.01, np.full(6, float(i)))
+            assert engine.arena.in_use == engine.queue.depth <= 16
         engine.flush()
         stats = engine.link_stats("a")
-        assert stats["frames_in"] == n
-        assert stats["frames_out"] == n
-        assert engine.registry.counter("arena_fallback_total").value > 0
+        assert stats["frames_out"] == 16
+        assert stats["overflow"] == 84
+        assert _reconciles(stats)
         engine.arena.check()
         assert engine.arena.in_use == 0
 
-    def test_width_change_mid_stream_falls_back(self):
+    def test_gap_fills_take_no_slot(self):
+        engine = InferenceEngine(
+            RowMean(),
+            self._config(
+                repairer=GapRepairer(expected_interval_s=0.1, max_fill=5),
+                auto_flush=False,
+            ),
+        )
+        engine.submit("a", 0.0, np.ones(6))
+        engine.submit("a", 0.5, np.ones(6))  # closes a 4-frame gap
+        assert [f.slot is None for f in engine.queue._pending] == [
+            False, True, True, True, True, False
+        ]
+        assert engine.arena.in_use == 2
+        results = engine.flush()
+        assert sum(r.repaired for r in results) == 4
+        assert engine.arena.in_use == 0
+
+    @pytest.mark.parametrize(
+        "row",
+        [np.ones(9), np.ones(6, dtype=object)],  # arena is width 6, float
+        ids=["width-change", "object-dtype"],
+    )
+    def test_unstageable_row_is_rejected(self, row):
         engine = InferenceEngine(RowMean(), self._config())
         engine.submit("a", 0.0, np.ones(6))
-        engine.flush()  # ragged batches raise by contract, so drain first
-        engine.submit("b", 0.1, np.ones(9))  # arena sized for width 6
+        assert engine.arena.in_use == 1
+        assert engine.submit_frame("a", 0.1, row).outcome == "rejected"
+        assert engine.arena.in_use == 1
         assert engine.arena.width == 6
-        assert engine.registry.counter("arena_fallback_total").value == 1
         engine.flush()
-        assert engine.link_stats("b")["frames_out"] == 1
+        stats = engine.link_stats("a")
+        assert (stats["rejected"], stats["frames_in"], stats["frames_out"]) == (1, 1, 1)
+        assert _reconciles(stats)
         engine.arena.check()
         assert engine.arena.in_use == 0
+
+    def test_empty_first_row_is_rejected(self):
+        engine = InferenceEngine(RowMean(), self._config())
+        assert engine.submit_frame("a", 0.0, np.empty(0)).outcome == "rejected"
+        assert engine.arena is None  # the arena takes its width from a stageable row
+        engine.submit("a", 0.1, np.ones(6))
+        assert engine.arena.width == 6
+
+    @pytest.mark.parametrize(
+        "primary, fallback",
+        [(Broken(), Broken()), (ShortAnswer(), None)],
+        ids=["both-tiers-raise", "wrong-answer-count"],
+    )
+    def test_raising_batch_recycles_its_slots(self, primary, fallback):
+        engine = InferenceEngine(
+            primary, self._config(max_latency_ms=None, fallback=fallback)
+        )
+        t = 0.0
+        for _ in range(2):
+            with pytest.raises(ServingError):
+                for _ in range(8):  # the eighth frame fills the batch
+                    engine.submit("a", t, np.ones(6))
+                    t += 0.01
+        engine.submit("a", t, np.ones(6))
+        assert engine.arena.in_use == engine.queue.depth == 1
+        engine.arena.check()
 
     def test_registry_mirrors_arena_tallies(self):
         engine = InferenceEngine(RowMean(), self._config())
@@ -231,7 +314,7 @@ class TestEngineArenaIntegration:
         min_size=1,
         max_size=6,
     ),
-    arena_slots=st.integers(min_value=2, max_value=64),
+    arena_slots=st.integers(min_value=17, max_value=64),  # > queue_capacity
     bad_every=st.integers(min_value=5, max_value=11),
     data_seed=st.integers(min_value=0, max_value=2**31 - 1),
 )

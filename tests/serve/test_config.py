@@ -1,4 +1,4 @@
-"""Tests for ServeConfig and the engine's removed legacy-kwarg path."""
+"""Tests for ServeConfig and the engine's config-only construction."""
 
 import warnings
 
@@ -48,10 +48,16 @@ class TestServeConfigValidation:
         assert (config.min_batch, config.max_batch, config.queue_capacity) == (8, 8, 8)
 
     def test_rejects_bad_arena_slots(self):
+        # The arena must outnumber the queue: queued frames plus the one
+        # being admitted are the only slot holders.
         with pytest.raises(ConfigurationError, match="arena_slots"):
             ServeConfig(arena_slots=0)
+        with pytest.raises(
+            ConfigurationError, match=r"arena_slots \(16\).*queue_capacity \(16\)"
+        ):
+            ServeConfig(max_batch=8, queue_capacity=16, arena_slots=16)
         assert ServeConfig(arena_slots=None).arena_slots is None
-        assert ServeConfig(arena_slots=1).arena_slots == 1
+        assert ServeConfig(queue_capacity=16, max_batch=8, arena_slots=17).arena_slots == 17
 
     def test_adaptive_defaults_off(self):
         config = ServeConfig()
@@ -120,31 +126,12 @@ class TestEngineAcceptsConfig:
         ticket = engine.submit_frame("link-0", 0.0, np.ones(3))
         assert ticket.admitted
 
-    def test_legacy_kwargs_raise_typed_config_error(self):
-        with pytest.raises(ConfigError) as exc_info:
-            InferenceEngine(_Estimator(), max_batch=4, max_latency_ms=None)
-        message = str(exc_info.value)
-        # The migration hint names the offending kwargs and the fix.
-        assert "max_batch" in message
-        assert "max_latency_ms" in message
-        assert "ServeConfig" in message
-
-    def test_legacy_kwargs_rejected_even_with_config(self):
-        with pytest.raises(ConfigError):
-            InferenceEngine(_Estimator(), ServeConfig(max_batch=8), max_batch=2)
-
     def test_config_error_is_configuration_error(self):
         # Callers catching the broad typed hierarchy keep working.
         with pytest.raises(ConfigurationError):
-            InferenceEngine(_Estimator(), window=3)
+            ServeConfig(rate_limit_hz=0.0)
         with pytest.raises(ValueError):
-            InferenceEngine(_Estimator(), window=3)
-
-    def test_legacy_rejection_happens_before_side_effects(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ConfigError):
-            InferenceEngine(_Estimator(), registry=registry)
-        assert registry.counters == {}
+            ServeConfig(rate_limit_hz=0.0)
 
     def test_config_only_construction_is_warning_free(self):
         with warnings.catch_warnings():
